@@ -78,8 +78,9 @@ cargo run --release -q -p sdlo-loadgen --bin loadgen -- \
 # backend is shut down in the middle of the load run; the router must absorb
 # it — loadgen gates on zero transport/protocol errors, and the per-backend
 # rollups land in results/router.json. Afterwards the warm-restart gate
-# restarts a backend on the same cache directory and asserts it serves a
-# previously-seen shape with zero model builds (sdlo_models_built_total 0).
+# restarts a backend on the same cache directory and asserts it serves
+# previously-seen shapes with zero model builds (sdlo_models_built_total 0):
+# one through a by-hash `revise`, one through `predict`.
 echo "==> router smoke (2 backends, kill one mid-run)"
 FLEET_CACHE=$(mktemp -d)
 B1_PORT=$((20000 + $$ % 10000))
@@ -149,12 +150,30 @@ grep -q '"router_backends"' results/router.json || {
 }
 
 echo "==> warm-restart gate (models served from disk, zero rebuilds)"
+# A shape this backend serves before the restart, for the by-hash revise
+# below: its `shape` hash and the count `predict` gives.
+TMM_BINDINGS='{"Ni":512,"Nj":512,"Nk":512,"Ti":64,"Tj":64,"Tk":64}'
+TMM_REPLY=$(send_op "$B1_PORT" "{\"op\":\"predict\",\"program\":\"tiled_matmul\",\"bindings\":$TMM_BINDINGS,\"cache\":8192}")
+TMM_SHAPE=$(sed -n 's/.*"shape":"\([0-9a-f]\{16\}\)".*/\1/p' <<< "$TMM_REPLY")
+TMM_MISSES=$(sed -n 's/.*"misses":\([0-9]*\).*/\1/p' <<< "$TMM_REPLY")
+[ -n "$TMM_SHAPE" ] && [ -n "$TMM_MISSES" ] || {
+    echo "error: predict before restart failed: $TMM_REPLY" >&2
+    exit 1
+}
 send_op "$RT_PORT" '{"op":"shutdown"}' > /dev/null
 send_op "$B1_PORT" '{"op":"shutdown"}' > /dev/null
 sleep 0.5
 target/release/sdlo-service --addr "127.0.0.1:$B1_PORT" --cache-dir "$FLEET_CACHE" \
     > /dev/null & FLEET_PIDS+=($!)
 wait_port "$B1_PORT"
+# First request for that shape after the restart: a revise by `base` alone,
+# no `program`. The store must recover the model from disk by hash and
+# answer cold (`revised:false`) with the count `predict` gave.
+REVISE_REPLY=$(send_op "$B1_PORT" "{\"op\":\"revise\",\"base\":\"$TMM_SHAPE\",\"delta\":{\"bindings\":$TMM_BINDINGS,\"cache_sizes\":[8192]}}")
+case "$REVISE_REPLY" in
+    *'"ok":true,"revised":false,'*"\"misses\":{\"8192\":$TMM_MISSES}"*) ;;
+    *) echo "error: by-hash revise after restart: $REVISE_REPLY (want misses $TMM_MISSES)" >&2; exit 1 ;;
+esac
 WARM_REPLY=$(send_op "$B1_PORT" '{"op":"predict","request_id":"warm","program":"matmul","bindings":{"Ni":64,"Nj":64,"Nk":64},"cache":512}')
 case "$WARM_REPLY" in
     *'"ok":true'*) ;;

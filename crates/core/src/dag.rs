@@ -37,6 +37,7 @@
 
 use crate::model::{predict_from_values, DistanceValues, MissModel, ModelError};
 use crate::partition::StackDistance;
+use sdlo_ir::canon::Fnv64;
 use sdlo_symbolic::{Bindings, Expr, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -143,33 +144,21 @@ pub struct ModelDag {
     stats: DagStats,
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Fingerprint of the values a node reads: FNV-1a over `(value)` in the
 /// node's symbol order. Unbound symbols hash as a distinct tag so "unbound"
 /// and "bound to zero" never collide.
 fn input_fingerprint(vars: &[Sym], bindings: &Bindings) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for v in vars {
         match bindings.get(v) {
             Some(val) => {
-                h = fnv1a64(h, &[1]);
-                h = fnv1a64(h, &val.to_le_bytes());
+                h.bytes(&[1]);
+                h.bytes(&val.to_le_bytes());
             }
-            None => h = fnv1a64(h, &[0]),
+            None => h.bytes(&[0]),
         }
     }
-    h
+    h.finish()
 }
 
 impl ModelDag {

@@ -67,30 +67,29 @@ pub fn predict_from_values(
         return Err(ModelError::NegativeCount(count_i));
     }
     let count = count_i as u64;
-    let misses = match distance {
-        DistanceValues::Infinite => count,
-        DistanceValues::Constant(d) => {
-            if d as u64 >= cache_size {
-                count
-            } else {
-                0
-            }
+    let (lo, hi) = match distance {
+        DistanceValues::Infinite => {
+            return Ok(ComponentPrediction {
+                count,
+                misses: count,
+            })
         }
-        DistanceValues::Varying { lo, hi } => {
-            let (lo_v, hi_v) = (lo.min(hi), lo.max(hi));
-            let cs = cache_size as i64;
-            if lo_v >= cs {
-                count
-            } else if hi_v < cs {
-                0
-            } else {
-                // Linear interpolation across the component — the
-                // paper's partial-miss formula (§5).
-                let span = (hi_v - lo_v) as u128 + 1;
-                let missing = (hi_v - cs) as u128 + 1;
-                ((count as u128 * missing) / span) as u64
-            }
-        }
+        DistanceValues::Constant(d) => (d, d),
+        DistanceValues::Varying { lo, hi } => (lo.min(hi), lo.max(hi)),
+    };
+    // Compare in i128 so a cache above `i64::MAX` is larger than every
+    // distance instead of wrapping negative.
+    let (lo, hi, cs) = (i128::from(lo), i128::from(hi), i128::from(cache_size));
+    let misses = if lo >= cs {
+        count
+    } else if hi < cs {
+        0
+    } else {
+        // Linear interpolation across the component — the paper's
+        // partial-miss formula (§5).
+        let span = (hi - lo) as u128 + 1;
+        let missing = (hi - cs) as u128 + 1;
+        ((count as u128 * missing) / span) as u64
     };
     Ok(ComponentPrediction { count, misses })
 }
@@ -376,10 +375,35 @@ mod tests {
             .with("Tm", 8)
             .with("Tn", 16);
         let mut prev = u64::MAX;
-        for cs in [16u64, 64, 256, 1024, 4096, 16384, 65536] {
+        let huge = i64::MAX as u64;
+        for cs in [
+            16u64,
+            64,
+            256,
+            1024,
+            4096,
+            16384,
+            65536,
+            huge,
+            huge + 1,
+            u64::MAX,
+        ] {
             let m = model.predict_misses(&b, cs).unwrap();
             assert!(m <= prev, "cs={cs}: {m} > {prev}");
             prev = m;
+        }
+    }
+
+    #[test]
+    fn constant_distance_agrees_with_degenerate_range() {
+        for d in [-5i64, -1, 0, 1, 7, 8, 9, i64::MAX] {
+            for cs in [0u64, 1, 8, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+                assert_eq!(
+                    predict_from_values(10, DistanceValues::Constant(d), cs),
+                    predict_from_values(10, DistanceValues::Varying { lo: d, hi: d }, cs),
+                    "d={d} cs={cs}"
+                );
+            }
         }
     }
 

@@ -253,30 +253,58 @@ fn render_label(kind: StmtKind, refs: &[ArrayRef]) -> String {
 // Stable hashing
 // ---------------------------------------------------------------------------
 
-/// 64-bit FNV-1a. Explicit rather than `DefaultHasher` so the value is stable
-/// across Rust versions, platforms and processes.
-struct Fnv64(u64);
+/// Streaming 64-bit FNV-1a, the one stable hash of the workspace: shape
+/// hashes, router ring placement, disk-cache checksums and model-DAG input
+/// fingerprints all use it. Explicit rather than `DefaultHasher` so the
+/// value is stable across Rust versions, platforms and processes.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
 
-impl Fnv64 {
-    fn new() -> Self {
+impl Default for Fnv64 {
+    #[inline]
+    fn default() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn bytes(&mut self, b: &[u8]) {
+impl Fnv64 {
+    #[inline]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
         for &x in b {
             self.0 ^= u64::from(x);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    fn str(&mut self, s: &str) {
+    /// Length-prefixed, so `("ab","c")` and `("a","bc")` differ.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.bytes(s.as_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
+
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One-shot FNV-1a 64 of `bytes`.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// Hash a (canonical) program's structure: arrays with extents, the loop
@@ -330,7 +358,7 @@ fn structural_hash(p: &Program) -> u64 {
     for n in &p.root {
         node(n, &mut h);
     }
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]

@@ -8,16 +8,7 @@
 //! list position or fleet size — adding or removing one backend remaps only
 //! the keys that backend owned.
 
-/// Stable FNV-1a 64 (the same function `sdlo_ir::canon` uses for shape
-/// hashes), so ring placement is identical across processes and restarts.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use sdlo_ir::canon::fnv1a64;
 
 /// An immutable ring over `n` backends. Eviction does not rebuild the ring:
 /// the router walks [`Ring::order`] and skips unhealthy backends, so a

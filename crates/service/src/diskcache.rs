@@ -38,12 +38,13 @@
 //! observe half-written entries.
 
 use sdlo_core::MissModel;
+use sdlo_ir::canon::fnv1a64;
 use sdlo_ir::Program;
 use sdlo_wire::{
     program_from_value, program_to_value, stored_component_from_value, stored_component_to_value,
     Value,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Format of the on-disk envelope itself (field layout). Distinct from the
 /// model/protocol revisions, which stamp the *content*.
@@ -69,26 +70,11 @@ pub struct DiskCache {
     dir: PathBuf,
 }
 
-/// Stable FNV-1a 64 over bytes — matches no std `Hash` impl on purpose, so
-/// checksums are identical across platforms and processes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl DiskCache {
     /// A cache rooted at `dir`. The directory is created lazily on first
     /// store; a missing or unreadable directory makes every load a miss.
     pub fn new(dir: impl Into<PathBuf>) -> DiskCache {
         DiskCache { dir: dir.into() }
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The file that does (or would) hold the entry for `hash`.

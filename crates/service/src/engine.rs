@@ -1,6 +1,6 @@
 //! The embeddable request engine: JSON request in, JSON response out.
 //!
-//! The engine owns the canonical-shape model cache and the metrics; the TCP
+//! The engine owns the canonical-shape model store and the metrics; the TCP
 //! server ([`crate::server`]) is a thin transport around it, and tests or
 //! other hosts can drive it directly via [`Engine::handle_line`].
 //!
@@ -50,28 +50,24 @@
 //! present on error replies too.
 
 use crate::api::{self, fail, ApiError, Envelope, ErrorKind, ProgramSpec, RoutingKey};
-use crate::cache::ShardedCache;
-use crate::diskcache::{DiskCache, DiskOutcome};
-use crate::metrics::{Kind, Metrics};
-use sdlo_core::model::MissModel;
+use crate::metrics::Metrics;
+use crate::store::ModelStore;
 use sdlo_ir::canon::{canonicalize, Canonical};
 use sdlo_ir::programs::{builtin, BUILTIN_NAMES as BUILTINS};
 use sdlo_ir::Program;
 use sdlo_symbolic::{Bindings, Sym};
 use sdlo_tilesearch::SearchSpace;
 use sdlo_trace::flight::{FlightRecord, FlightRecorder};
-use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Engine limits and cache sizing.
+/// Engine limits and store sizing.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Shards of the model cache.
-    pub cache_shards: usize,
-    /// Total cached shapes.
+    /// Shapes held in memory by the model store (`crate::store`). A
+    /// shape's `revise` session lives as long as the shape does.
     pub cache_capacity: usize,
     /// Maximum sub-requests in one `batch`.
     pub max_batch: usize,
@@ -84,8 +80,8 @@ pub struct EngineConfig {
     /// backpressure deterministic. Off in production binaries.
     pub enable_test_ops: bool,
     /// Disk-backed model-cache directory ([`crate::diskcache`]). When set,
-    /// in-memory misses first try the persisted tier before building, and
-    /// every freshly built model is persisted — so a restarted process
+    /// in-memory store misses first try the persisted tier before building,
+    /// and every freshly built model is persisted — so a restarted process
     /// warm-starts without rebuilding any previously-seen shape.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Request slots in the always-on flight recorder (`debug` op).
@@ -93,17 +89,11 @@ pub struct EngineConfig {
     /// Requests slower than this total (µs) get their span tree captured by
     /// the flight recorder. 0 disables slow captures.
     pub slow_threshold_micros: u64,
-    /// Live `revise` sessions (reactive model DAGs) held at once; the
-    /// least-recently-revised session is evicted past this. An evicted base
-    /// is not an error — the next `revise` against it falls back to a full
-    /// DAG build.
-    pub revise_sessions: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            cache_shards: 8,
             cache_capacity: 256,
             max_batch: 1024,
             max_search_points: 65_536,
@@ -112,84 +102,8 @@ impl Default for EngineConfig {
             cache_dir: None,
             flight_capacity: 256,
             slow_threshold_micros: 100_000,
-            revise_sessions: 32,
         }
     }
-}
-
-/// The engine's live `revise` sessions: canonical shape hash → reactive
-/// [`ModelDag`](sdlo_core::ModelDag), LRU-bounded. Sessions are mutated in
-/// place under one lock — a `revise` delta is exactly the cheap path the
-/// DAG exists for, so the critical section is short; cold DAG builds happen
-/// *outside* the lock and are inserted afterwards.
-pub(crate) struct ReviseSessions {
-    capacity: usize,
-    tick: u64,
-    entries: Vec<ReviseEntry>,
-}
-
-struct ReviseEntry {
-    hash: u64,
-    dag: sdlo_core::ModelDag,
-    last_used: u64,
-}
-
-impl ReviseSessions {
-    fn new(capacity: usize) -> Self {
-        ReviseSessions {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    /// The live DAG for `hash`, touched for LRU, if any.
-    pub(crate) fn dag_mut(&mut self, hash: u64) -> Option<&mut sdlo_core::ModelDag> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.iter_mut().find(|e| e.hash == hash).map(|e| {
-            e.last_used = tick;
-            &mut e.dag
-        })
-    }
-
-    /// Install (or replace) the session for `hash`, evicting the
-    /// least-recently-revised session at capacity.
-    pub(crate) fn insert(&mut self, hash: u64, dag: sdlo_core::ModelDag) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.hash == hash) {
-            e.dag = dag;
-            e.last_used = tick;
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty sessions");
-            self.entries.swap_remove(lru);
-        }
-        self.entries.push(ReviseEntry {
-            hash,
-            dag,
-            last_used: tick,
-        });
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// A cached analysis: the canonicalization (for name translation) plus the
-/// built model.
-pub struct CachedModel {
-    pub canonical: Arc<Canonical>,
-    pub model: MissModel,
 }
 
 /// A request's program together with its canonicalization. Builtin names
@@ -206,14 +120,11 @@ pub struct Resolved {
 /// internally synchronized.
 pub struct Engine {
     pub(crate) config: EngineConfig,
-    pub(crate) cache: ShardedCache<CachedModel>,
-    /// Persistent tier behind the in-memory cache, when configured.
-    disk: Option<DiskCache>,
+    /// Canonical shape → model and live `revise` session, memory then disk.
+    pub(crate) store: ModelStore,
     pub(crate) metrics: Arc<Metrics>,
     /// Always-on ring of recent requests + slow-request span captures.
     pub(crate) flight: Arc<FlightRecorder>,
-    /// Live `revise` sessions (reactive model DAGs), LRU-bounded.
-    pub(crate) revise: std::sync::Mutex<ReviseSessions>,
     /// Monotone source for server-generated request ids.
     req_seq: std::sync::atomic::AtomicU64,
 }
@@ -235,20 +146,21 @@ pub type OpResult = Result<Vec<(&'static str, Value)>, ApiError>;
 
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
-        let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
-        let disk = config.cache_dir.clone().map(DiskCache::new);
+        let metrics = Arc::new(Metrics::default());
+        let store = ModelStore::new(
+            config.cache_capacity,
+            config.cache_dir.clone(),
+            Arc::clone(&metrics),
+        );
         let flight = Arc::new(FlightRecorder::new(
             config.flight_capacity,
             config.slow_threshold_micros,
         ));
-        let revise = std::sync::Mutex::new(ReviseSessions::new(config.revise_sessions));
         Engine {
             config,
-            cache,
-            disk,
-            metrics: Arc::new(Metrics::default()),
+            store,
+            metrics,
             flight,
-            revise,
             req_seq: std::sync::atomic::AtomicU64::new(1),
         }
     }
@@ -317,7 +229,7 @@ impl Engine {
     pub fn handle_timed(&self, request: &Value, queue_micros: u64) -> (Value, RequestMeta) {
         let started = Instant::now();
         let envelope = api::parse_envelope(request);
-        let kind = Kind::from_op(&envelope.op);
+        let slot = crate::ops::slot(&envelope.op);
         let request_id = envelope
             .request_id
             .clone()
@@ -330,12 +242,12 @@ impl Engine {
             span.attr("trace_id", trace.trace_id.as_str());
         }
         let root_span = span.id();
-        let in_flight = &self.metrics.kind(kind).in_flight;
+        let in_flight = &self.metrics.op(slot).in_flight;
         in_flight.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let outcome = self.dispatch(request, &envelope, started);
         in_flight.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
         let micros = started.elapsed().as_micros() as u64;
-        self.metrics.record(kind, micros, outcome.is_ok());
+        self.metrics.record(slot, micros, outcome.is_ok());
         self.metrics.exec.observe_micros(micros);
         drop(span);
         let status = match &outcome {
@@ -442,101 +354,6 @@ impl Engine {
         }
     }
 
-    /// Fetch (or build) the memoized model for an already-canonicalized
-    /// program. This is the expensive middle every request funnels through.
-    pub(crate) fn model_for(&self, resolved: &Resolved) -> (Arc<CachedModel>, bool) {
-        let canonical = &resolved.canonical;
-        let hash = canonical.hash;
-        let (cached, hit) = self.cache.get_or_build(hash, &canonical.program, || {
-            let model = self.load_or_build(hash, canonical);
-            CachedModel {
-                canonical: Arc::clone(canonical),
-                model,
-            }
-        });
-        let counter = if hit {
-            &self.metrics.cache_hits
-        } else {
-            &self.metrics.cache_misses
-        };
-        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (cached, hit)
-    }
-
-    /// The cached model bearing `hash` by hash alone (the `revise` op's
-    /// base): memory first, then the disk tier. A disk hit is promoted into
-    /// the in-memory cache so the revise session and ordinary requests for
-    /// the same shape share one model. No builder is available — a hash
-    /// names a shape only after some request has built it.
-    pub(crate) fn model_by_hash(&self, hash: u64) -> Option<Arc<CachedModel>> {
-        use std::sync::atomic::Ordering::Relaxed;
-        if let Some(cached) = self.cache.get_by_hash(hash) {
-            self.metrics.cache_hits.fetch_add(1, Relaxed);
-            return Some(cached);
-        }
-        let (program, model) = self.disk.as_ref()?.load_by_hash(hash)?;
-        self.metrics.disk_hits.fetch_add(1, Relaxed);
-        // The stored program is already canonical (verified by
-        // `load_by_hash`); re-canonicalizing just rebuilds the `Canonical`
-        // wrapper the cache entry wants.
-        let canonical = Arc::new(canonicalize(&program));
-        let (cached, _) = self
-            .cache
-            .get_or_build(hash, &canonical.program, || CachedModel {
-                canonical: Arc::clone(&canonical),
-                model,
-            });
-        Some(cached)
-    }
-
-    /// In-memory miss path: consult the persisted tier first; only build —
-    /// and persist — when disk has no trustworthy entry. Disk failures are
-    /// strictly non-fatal: the worst case is a rebuild.
-    fn load_or_build(&self, hash: u64, canonical: &Canonical) -> MissModel {
-        use std::sync::atomic::Ordering::Relaxed;
-        if let Some(disk) = &self.disk {
-            match disk.load(hash, &canonical.program) {
-                DiskOutcome::Hit(model) => {
-                    self.metrics.disk_hits.fetch_add(1, Relaxed);
-                    return model;
-                }
-                DiskOutcome::Rejected(reason) => {
-                    self.metrics.disk_errors.fetch_add(1, Relaxed);
-                    sdlo_trace::log::warn(
-                        "service",
-                        "disk_cache.rejected",
-                        &[
-                            ("canon_hash", AttrValue::Str(format!("{hash:016x}"))),
-                            ("reason", AttrValue::Str(reason.to_string())),
-                        ],
-                    );
-                }
-                DiskOutcome::Miss => {}
-            }
-        }
-        self.metrics.models_built.fetch_add(1, Relaxed);
-        let model = MissModel::build(&canonical.program);
-        if let Some(disk) = &self.disk {
-            match disk.store(hash, &canonical.program, &model) {
-                Ok(()) => {
-                    self.metrics.disk_writes.fetch_add(1, Relaxed);
-                }
-                Err(e) => {
-                    self.metrics.disk_errors.fetch_add(1, Relaxed);
-                    sdlo_trace::log::warn(
-                        "service",
-                        "disk_cache.write_failed",
-                        &[
-                            ("canon_hash", AttrValue::Str(format!("{hash:016x}"))),
-                            ("error", AttrValue::Str(e.to_string())),
-                        ],
-                    );
-                }
-            }
-        }
-        model
-    }
-
     /// Map a canonical `ArrayId` back to the requester's array name.
     pub(crate) fn original_name(
         program: &Program,
@@ -555,11 +372,11 @@ impl Engine {
         }
     }
 
-    /// The full Prometheus text exposition, including the cache-size gauge
+    /// The full Prometheus text exposition, including the store-size gauge
     /// that lives outside [`Metrics`]. Used by the `metrics` op and by the
     /// transport's raw-scrape path.
     pub fn prometheus(&self) -> String {
-        self.metrics.prometheus(self.cache.len() as u64)
+        self.metrics.prometheus(self.store.len() as u64)
     }
 
     // -- request validation helpers -----------------------------------------

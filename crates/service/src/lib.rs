@@ -7,11 +7,12 @@
 //! The analyze-once/query-many asymmetry is the whole point: building a
 //! [`MissModel`](sdlo_core::model::MissModel) (reuse partitioning + symbolic
 //! stack-distance computation) is expensive, while evaluating it for a
-//! `(bounds, cache size)` instance is cheap. The engine therefore memoizes
-//! built models in a sharded LRU cache keyed by the **canonical structural
-//! hash** of the loop nest (`sdlo_ir::canon`), so every client asking about
-//! a structurally identical nest — whatever its variable names or array
-//! declaration order — is served from the same entry.
+//! `(bounds, cache size)` instance is cheap. The engine therefore keeps
+//! built models in one model store (`store`) keyed by the **canonical
+//! structural hash** of the loop nest (`sdlo_ir::canon`), so every client
+//! asking about a structurally identical nest — whatever its variable names
+//! or array declaration order — is served from the same entry, which also
+//! carries the shape's live `revise` session.
 //!
 //! Layers:
 //!
@@ -26,20 +27,21 @@
 //!   control (`overloaded`), per-connection write-buffer backpressure,
 //!   per-line size caps, graceful drain on shutdown,
 //! * [`client`] — minimal synchronous client,
-//! * [`cache`] / [`metrics`] — the shared infrastructure behind both.
+//! * `store` / [`diskcache`] / [`metrics`] — the shared infrastructure
+//!   behind both.
 
 pub mod api;
-pub mod cache;
 pub mod client;
 pub mod diskcache;
 pub mod engine;
 pub mod metrics;
 pub mod ops;
 pub mod server;
+pub(crate) mod store;
 
 pub use api::{ApiError, ErrorKind, RoutingKey, PROTOCOL_VERSION};
 pub use client::{is_overloaded, Client, RetryPolicy};
 pub use diskcache::{DiskCache, DiskOutcome};
 pub use engine::{Engine, EngineConfig};
-pub use metrics::{Kind, Metrics};
+pub use metrics::Metrics;
 pub use server::{serve, ServerConfig, ServerHandle};

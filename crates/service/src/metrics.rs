@@ -1,4 +1,4 @@
-//! Lock-free service observability: per-request-kind counters, log₂ latency
+//! Lock-free service observability: per-op counters, log₂ latency
 //! histograms, cache hit rates and queue depth, all plain atomics so the hot
 //! path never blocks on a metrics lock.
 //!
@@ -11,70 +11,6 @@
 use sdlo_wire::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Request kinds tracked separately. `Other` covers unknown ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    Analyze,
-    Predict,
-    Advise,
-    Batch,
-    Lint,
-    Stats,
-    Metrics,
-    Debug,
-    Revise,
-    Sleep,
-    Other,
-}
-
-impl Kind {
-    pub const ALL: [Kind; 11] = [
-        Kind::Analyze,
-        Kind::Predict,
-        Kind::Advise,
-        Kind::Batch,
-        Kind::Lint,
-        Kind::Stats,
-        Kind::Metrics,
-        Kind::Debug,
-        Kind::Revise,
-        Kind::Sleep,
-        Kind::Other,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Kind::Analyze => "analyze",
-            Kind::Predict => "predict",
-            Kind::Advise => "advise",
-            Kind::Batch => "batch",
-            Kind::Lint => "lint",
-            Kind::Stats => "stats",
-            Kind::Metrics => "metrics",
-            Kind::Debug => "debug",
-            Kind::Revise => "revise",
-            Kind::Sleep => "sleep",
-            Kind::Other => "other",
-        }
-    }
-
-    pub fn from_op(op: &str) -> Kind {
-        match op {
-            "analyze" => Kind::Analyze,
-            "predict" => Kind::Predict,
-            "advise" => Kind::Advise,
-            "batch" => Kind::Batch,
-            "lint" => Kind::Lint,
-            "stats" => Kind::Stats,
-            "metrics" => Kind::Metrics,
-            "debug" => Kind::Debug,
-            "revise" => Kind::Revise,
-            "sleep" => Kind::Sleep,
-            _ => Kind::Other,
-        }
-    }
-}
 
 const BUCKETS: usize = 32;
 
@@ -152,11 +88,12 @@ impl Histogram {
     }
 }
 
+/// Counters of one op slot ([`crate::ops::slot`]).
 #[derive(Debug, Default)]
-pub struct KindStats {
+pub struct OpStats {
     pub requests: AtomicU64,
     pub errors: AtomicU64,
-    /// Requests of this kind currently being handled (gauge).
+    /// Requests of this op currently being handled (gauge).
     pub in_flight: AtomicU64,
     pub latency: Histogram,
 }
@@ -165,7 +102,8 @@ pub struct KindStats {
 /// server and tests.
 #[derive(Debug)]
 pub struct Metrics {
-    per_kind: [KindStats; Kind::ALL.len()],
+    /// One slot per registered op, then `other` for unknown names.
+    per_op: Box<[OpStats]>,
     /// Memoized model served from the canonical-shape cache.
     pub cache_hits: AtomicU64,
     /// Model had to be built (partitioning + symbolic analysis ran).
@@ -215,7 +153,8 @@ pub struct Metrics {
     /// Expression nodes proven clean (fingerprint or dependency check) and
     /// reused across all `revise` deltas.
     pub revise_nodes_reused: AtomicU64,
-    /// Live DAG sessions held by the engine (gauge).
+    /// Resident model-store entries holding a live revise DAG (gauge,
+    /// maintained by the model store, `crate::store`).
     pub revise_sessions: AtomicU64,
     /// Per-phase attribution, all ops pooled: microseconds a request spent
     /// queued before a worker picked it up.
@@ -232,7 +171,9 @@ pub struct Metrics {
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            per_kind: Default::default(),
+            per_op: crate::ops::slot_names()
+                .map(|_| OpStats::default())
+                .collect(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             models_built: AtomicU64::new(0),
@@ -263,12 +204,18 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    pub fn kind(&self, k: Kind) -> &KindStats {
-        &self.per_kind[Kind::ALL.iter().position(|x| *x == k).expect("kind listed")]
+    /// The counters of op slot `slot` (see [`crate::ops::slot`]).
+    pub fn op(&self, slot: usize) -> &OpStats {
+        &self.per_op[slot]
     }
 
-    pub fn record(&self, k: Kind, micros: u64, ok: bool) {
-        let s = self.kind(k);
+    /// Every op slot with its wire name, in slot order.
+    pub fn ops(&self) -> impl Iterator<Item = (&'static str, &OpStats)> {
+        crate::ops::slot_names().zip(self.per_op.iter())
+    }
+
+    pub fn record(&self, slot: usize, micros: u64, ok: bool) {
+        let s = self.op(slot);
         s.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             s.errors.fetch_add(1, Ordering::Relaxed);
@@ -284,12 +231,11 @@ impl Metrics {
     /// Everything as one JSON object (the `stats` response body).
     pub fn snapshot(&self) -> Value {
         let load = |a: &AtomicU64| Value::from(a.load(Ordering::Relaxed));
-        let requests = Kind::ALL
-            .iter()
-            .map(|k| {
-                let s = self.kind(*k);
+        let requests = self
+            .ops()
+            .map(|(name, s)| {
                 (
-                    k.name().to_string(),
+                    name.to_string(),
                     Value::obj(vec![
                         ("requests", load(&s.requests)),
                         ("errors", load(&s.errors)),
@@ -364,66 +310,51 @@ impl Metrics {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
 
         out.push_str("# TYPE sdlo_requests_total counter\n");
-        for k in Kind::ALL {
+        for (name, s) in self.ops() {
             let _ = writeln!(
                 out,
-                "sdlo_requests_total{{op=\"{}\"}} {}",
-                k.name(),
-                load(&self.kind(k).requests)
+                "sdlo_requests_total{{op=\"{name}\"}} {}",
+                load(&s.requests)
             );
         }
         out.push_str("# TYPE sdlo_request_errors_total counter\n");
-        for k in Kind::ALL {
+        for (name, s) in self.ops() {
             let _ = writeln!(
                 out,
-                "sdlo_request_errors_total{{op=\"{}\"}} {}",
-                k.name(),
-                load(&self.kind(k).errors)
+                "sdlo_request_errors_total{{op=\"{name}\"}} {}",
+                load(&s.errors)
             );
         }
         out.push_str("# TYPE sdlo_inflight gauge\n");
-        for k in Kind::ALL {
-            let _ = writeln!(
-                out,
-                "sdlo_inflight{{op=\"{}\"}} {}",
-                k.name(),
-                load(&self.kind(k).in_flight)
-            );
+        for (name, s) in self.ops() {
+            let _ = writeln!(out, "sdlo_inflight{{op=\"{name}\"}} {}", load(&s.in_flight));
         }
         out.push_str("# TYPE sdlo_request_latency_micros histogram\n");
-        for k in Kind::ALL {
-            let h = &self.kind(k).latency;
-            let counts = h.counts();
+        for (name, s) in self.ops() {
+            let h = &s.latency;
             let mut cum = 0u64;
-            for (i, c) in counts.iter().enumerate() {
+            for (i, c) in h.counts().iter().enumerate() {
                 cum += c;
                 if *c > 0 || i + 1 == BUCKETS {
+                    let le = 1u64 << (i + 1).min(63);
                     let _ = writeln!(
                         out,
-                        "sdlo_request_latency_micros_bucket{{op=\"{}\",le=\"{}\"}} {}",
-                        k.name(),
-                        1u64 << (i + 1).min(63),
-                        cum
+                        "sdlo_request_latency_micros_bucket{{op=\"{name}\",le=\"{le}\"}} {cum}"
                     );
                 }
             }
             let _ = writeln!(
                 out,
-                "sdlo_request_latency_micros_bucket{{op=\"{}\",le=\"+Inf\"}} {}",
-                k.name(),
-                cum
+                "sdlo_request_latency_micros_bucket{{op=\"{name}\",le=\"+Inf\"}} {cum}"
             );
             let _ = writeln!(
                 out,
-                "sdlo_request_latency_micros_count{{op=\"{}\"}} {}",
-                k.name(),
-                cum
+                "sdlo_request_latency_micros_count{{op=\"{name}\"}} {cum}"
             );
             let _ = writeln!(
                 out,
-                "sdlo_request_latency_micros_sum{{op=\"{}\"}} {}",
-                k.name(),
-                h.sum_micros.load(Ordering::Relaxed)
+                "sdlo_request_latency_micros_sum{{op=\"{name}\"}} {}",
+                load(&h.sum_micros)
             );
         }
         for (name, h) in [
@@ -560,6 +491,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::slot;
 
     #[test]
     fn histogram_buckets_and_quantiles() {
@@ -591,14 +523,14 @@ mod tests {
     }
 
     #[test]
-    fn record_tracks_errors_per_kind() {
+    fn record_tracks_errors_per_op() {
         let m = Metrics::default();
-        m.record(Kind::Predict, 10, true);
-        m.record(Kind::Predict, 20, false);
-        m.record(Kind::Analyze, 5, true);
-        assert_eq!(m.kind(Kind::Predict).requests.load(Ordering::Relaxed), 2);
-        assert_eq!(m.kind(Kind::Predict).errors.load(Ordering::Relaxed), 1);
-        assert_eq!(m.kind(Kind::Analyze).errors.load(Ordering::Relaxed), 0);
+        m.record(slot("predict"), 10, true);
+        m.record(slot("predict"), 20, false);
+        m.record(slot("analyze"), 5, true);
+        assert_eq!(m.op(slot("predict")).requests.load(Ordering::Relaxed), 2);
+        assert_eq!(m.op(slot("predict")).errors.load(Ordering::Relaxed), 1);
+        assert_eq!(m.op(slot("analyze")).errors.load(Ordering::Relaxed), 0);
         let snap = m.snapshot();
         let predict = snap.get("requests").unwrap().get("predict").unwrap();
         assert_eq!(predict.get("requests").unwrap().as_u64(), Some(2));
@@ -619,8 +551,8 @@ mod tests {
     #[test]
     fn prometheus_text_matches_counters() {
         let m = Metrics::default();
-        m.record(Kind::Predict, 10, true);
-        m.record(Kind::Predict, 20, false);
+        m.record(slot("predict"), 10, true);
+        m.record(slot("predict"), 20, false);
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         let text = m.prometheus(7);
         assert!(text.contains("sdlo_requests_total{op=\"predict\"} 2"));
@@ -667,8 +599,8 @@ mod tests {
     #[test]
     fn prometheus_histogram_buckets_are_cumulative() {
         let m = Metrics::default();
-        m.record(Kind::Analyze, 3, true); // bucket bound 4
-        m.record(Kind::Analyze, 1000, true); // bucket bound 1024
+        m.record(slot("analyze"), 3, true); // bucket bound 4
+        m.record(slot("analyze"), 1000, true); // bucket bound 1024
         let text = m.prometheus(0);
         assert!(text.contains("sdlo_request_latency_micros_bucket{op=\"analyze\",le=\"4\"} 1"));
         assert!(text.contains("sdlo_request_latency_micros_bucket{op=\"analyze\",le=\"1024\"} 2"));

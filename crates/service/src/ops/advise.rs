@@ -161,7 +161,7 @@ impl ServiceOp for AdviseOp {
         let program = &resolved.program;
         engine.check_grid(&request.space)?;
         let space = request.space;
-        let (cached, hit) = engine.model_for(&resolved);
+        let (cached, hit) = engine.store.get(&resolved.canonical);
         let budget = SearchBudget {
             deadline: request
                 .deadline_ms

@@ -27,7 +27,7 @@ impl ServiceOp for AnalyzeOp {
         let request = parse(ctx.request)?;
         let resolved = engine.resolve_spec(request.program)?;
         let program = &resolved.program;
-        let (cached, hit) = engine.model_for(&resolved);
+        let (cached, hit) = engine.store.get(&resolved.canonical);
         let name_of = Engine::original_name(program, &cached.canonical);
         let components: Vec<Value> = cached
             .model

@@ -75,6 +75,21 @@ pub fn find(name: &str) -> Option<&'static dyn ServiceOp> {
     REGISTRY.iter().copied().find(|op| op.name() == name)
 }
 
+/// Metrics slot of an op name: its registry position, or the trailing
+/// `other` slot for a name no op answers to.
+pub fn slot(name: &str) -> usize {
+    REGISTRY
+        .iter()
+        .position(|op| op.name() == name)
+        .unwrap_or(REGISTRY.len())
+}
+
+/// The metrics slot names in slot order: every registered op (advertised
+/// or not), then `other`.
+pub fn slot_names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|op| op.name()).chain(["other"])
+}
+
 /// The advertised op names in registration order (the `stats.ops` list).
 pub fn advertised() -> &'static [&'static str] {
     static NAMES: std::sync::OnceLock<Vec<&'static str>> = std::sync::OnceLock::new();

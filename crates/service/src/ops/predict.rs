@@ -38,7 +38,7 @@ impl ServiceOp for PredictOp {
         let resolved = engine.resolve_spec(request.program)?;
         let program = &resolved.program;
         engine.require_bound(program, &request.bindings, &[])?;
-        let (cached, hit) = engine.model_for(&resolved);
+        let (cached, hit) = engine.store.get(&resolved.canonical);
         let misses = cached
             .model
             .predict_misses(&request.bindings, request.cache)

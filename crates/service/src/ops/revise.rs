@@ -2,23 +2,25 @@
 //!
 //! A client that sweeps tile sizes (or cache capacities) over one program
 //! shape should not pay a full model evaluation per point. `revise` keeps a
-//! per-shape [`sdlo_core::ModelDag`] session on the engine, keyed by the
-//! canonical shape hash (`base`), and applies a structured delta — new
-//! symbol bindings and/or a new tracked cache-size set — re-evaluating only
-//! the expression nodes whose input fingerprints actually moved.
+//! live [`sdlo_core::ModelDag`] session in the shape's model-store entry
+//! (`crate::store`), named by the canonical shape hash (`base`), and
+//! applies a structured delta — new symbol bindings and/or a new tracked
+//! cache-size set — re-evaluating only the expression nodes whose input
+//! fingerprints actually moved.
 //!
 //! ## Session lifecycle
 //!
-//! * **Warm** (`revised: true`): the base names a live DAG; the delta is
-//!   applied transactionally in place. An evaluation error (e.g. a binding
-//!   driving a distance negative) leaves the session untouched.
+//! * **Warm** (`revised: true`): the base's resident entry holds a live
+//!   DAG; the delta is applied transactionally in place. An evaluation
+//!   error (e.g. a binding driving a distance negative) leaves the session
+//!   untouched.
 //! * **Cold** (`revised: false`): no live DAG. The model is recovered from
-//!   the request's optional `program` (which must canonicalize to `base`),
-//!   the in-memory model cache, or the disk tier — in that order — and a
-//!   fresh DAG is built from the delta, which must then carry
-//!   `cache_sizes` and bindings for every free symbol. Sessions are
-//!   LRU-bounded ([`crate::EngineConfig::revise_sessions`]); eviction just
-//!   means the next revise against that base is cold again.
+//!   the request's optional `program` (which must canonicalize to `base`)
+//!   or by hash from the store — memory, then the disk tier — and a fresh
+//!   DAG is built into the entry from the delta, which must then carry
+//!   `cache_sizes` and bindings for every free symbol. A session lives as
+//!   long as its shape stays in the store; eviction just means the next
+//!   revise against that base is cold again.
 //!
 //! The answers are byte-identical to `predict` over the same points — the
 //! DAG shares the §5 miss formula with the batch path — so `revise` is
@@ -75,7 +77,7 @@ fn body(
     base: u64,
     revised: bool,
     misses: &[(u64, u64)],
-    sessions: usize,
+    sessions: u64,
     reevaluated: u64,
     reused: u64,
     exprs: usize,
@@ -95,7 +97,7 @@ fn body(
         (
             "revise",
             Value::obj(vec![
-                ("sessions", Value::from(sessions as u64)),
+                ("sessions", Value::from(sessions)),
                 ("nodes_reevaluated", Value::from(reevaluated)),
                 ("nodes_reused", Value::from(reused)),
                 ("exprs", Value::from(exprs as u64)),
@@ -113,41 +115,40 @@ impl ServiceOp for ReviseOp {
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         let request = parse(ctx.request)?;
-        let metrics = &engine.metrics;
+        let (metrics, store) = (&engine.metrics, &engine.store);
 
-        // Warm path: the base names a live DAG. The delta applies in place
-        // under the session lock — this is exactly the cheap operation the
-        // DAG exists for, so holding the lock across it is fine.
-        {
-            let mut sessions = engine.revise.lock().unwrap();
-            if let Some(dag) = sessions.dag_mut(request.base) {
-                let outcome = dag
-                    .revise(&request.delta)
-                    .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
-                let exprs = dag.expr_count();
-                let live = sessions.len();
-                metrics
-                    .revise_nodes_reevaluated
-                    .fetch_add(outcome.nodes_reevaluated, Relaxed);
-                metrics
-                    .revise_nodes_reused
-                    .fetch_add(outcome.nodes_reused, Relaxed);
-                return Ok(body(
-                    request.base,
-                    true,
-                    &outcome.misses,
-                    live,
-                    outcome.nodes_reevaluated,
-                    outcome.nodes_reused,
-                    exprs,
-                ));
-            }
+        // Warm path: the base's resident entry holds a live DAG. The delta
+        // applies in place under the entry's own lock — exactly the cheap
+        // operation the DAG exists for. Not a model-cache lookup.
+        let warm = store.resident(request.base).and_then(|entry| {
+            entry.with_dag(|dag| {
+                let outcome = dag.revise(&request.delta);
+                (outcome, dag.expr_count())
+            })
+        });
+        if let Some((outcome, exprs)) = warm {
+            let outcome = outcome.map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
+            metrics
+                .revise_nodes_reevaluated
+                .fetch_add(outcome.nodes_reevaluated, Relaxed);
+            metrics
+                .revise_nodes_reused
+                .fetch_add(outcome.nodes_reused, Relaxed);
+            return Ok(body(
+                request.base,
+                true,
+                &outcome.misses,
+                metrics.revise_sessions.load(Relaxed),
+                outcome.nodes_reevaluated,
+                outcome.nodes_reused,
+                exprs,
+            ));
         }
 
-        // Cold path: recover the model, build a fresh DAG outside the
-        // session lock, then install it.
+        // Cold path: recover the model, build a fresh DAG outside any lock,
+        // then install it into the shape's entry.
         metrics.revise_base_misses.fetch_add(1, Relaxed);
-        let cached = if let Some(spec) = request.program {
+        let entry = if let Some(spec) = request.program {
             let resolved = engine.resolve_spec(spec)?;
             if resolved.canonical.hash != request.base {
                 return Err(schema(format!(
@@ -155,9 +156,9 @@ impl ServiceOp for ReviseOp {
                     resolved.canonical.hash, request.base
                 )));
             }
-            engine.model_for(&resolved).0
+            store.get(&resolved.canonical).0
         } else {
-            engine.model_by_hash(request.base).ok_or_else(|| {
+            store.by_hash(request.base).ok_or_else(|| {
                 schema(format!(
                     "unknown base `{:016x}`; include `program` to establish the session",
                     request.base
@@ -169,21 +170,16 @@ impl ServiceOp for ReviseOp {
                 "`delta.cache_sizes` is required to establish a new revise session",
             ));
         };
-        engine.require_bound(&cached.canonical.program, &request.delta.bindings, &[])?;
+        engine.require_bound(&entry.canonical.program, &request.delta.bindings, &[])?;
         let dag = {
             let _span = sdlo_trace::span(sdlo_trace::names::REVISE_FULL_BUILD);
-            ModelDag::new(&cached.model, request.delta.bindings.clone(), &sizes)
+            ModelDag::new(&entry.model, request.delta.bindings.clone(), &sizes)
                 .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?
         };
         metrics.revise_full_builds.fetch_add(1, Relaxed);
         let misses = dag.misses();
         let exprs = dag.expr_count();
-        let live = {
-            let mut sessions = engine.revise.lock().unwrap();
-            sessions.insert(request.base, dag);
-            sessions.len()
-        };
-        metrics.revise_sessions.store(live as u64, Relaxed);
+        let live = store.install(&entry, dag);
         Ok(body(request.base, false, &misses, live, 0, 0, exprs))
     }
 }

@@ -1,5 +1,5 @@
 //! `stats` — the metrics snapshot plus engine-level extras: per-op slowest
-//! requests, current cache size, protocol version and the advertised op
+//! requests, current store size, protocol version and the advertised op
 //! list (driven by the registry, so it can never drift from dispatch).
 
 use crate::api;
@@ -39,7 +39,7 @@ impl ServiceOp for StatsOp {
                     .collect(),
             ),
         ));
-        snap.push(("cached_shapes".to_string(), Value::from(engine.cache.len())));
+        snap.push(("cached_shapes".to_string(), Value::from(engine.store.len())));
         snap.push((
             "protocol_version".to_string(),
             Value::from(api::PROTOCOL_VERSION),

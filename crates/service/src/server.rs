@@ -442,9 +442,10 @@ impl Reactor {
     /// die with the process.
     fn drain_summary(&self, draining_since: Instant, expired: bool) {
         use std::sync::atomic::Ordering::Relaxed;
-        let served: u64 = crate::metrics::Kind::ALL
-            .iter()
-            .map(|k| self.metrics.kind(*k).requests.load(Relaxed))
+        let served: u64 = self
+            .metrics
+            .ops()
+            .map(|(_, s)| s.requests.load(Relaxed))
             .sum();
         let hits = self.metrics.cache_hits.load(Relaxed);
         let misses = self.metrics.cache_misses.load(Relaxed);
@@ -751,7 +752,7 @@ impl Reactor {
                     let started = Instant::now();
                     let text = self.engine.prometheus();
                     self.metrics.record(
-                        crate::metrics::Kind::Metrics,
+                        crate::ops::slot("metrics"),
                         started.elapsed().as_micros() as u64,
                         true,
                     );
