@@ -57,13 +57,6 @@ cargo test --release -q -p sdlo-service --test wire_compat
 echo "==> search bench (seq vs parallel)"
 cargo bench -q -p sdlo-bench --bench search
 
-# Reactive model engine: revising a live model DAG through a 64-point tile
-# sweep must be at least 5x cheaper than cold per-point DAG rebuilds, with
-# byte-identical miss counts (the bench exits 1 otherwise). The measurement
-# is archived in results/revise.json.
-echo "==> revise bench (warm DAG vs cold rebuild, >=5x)"
-cargo bench -q -p sdlo-bench --bench revise
-
 # Load smoke: 256 concurrent clients against an in-process server for a few
 # seconds. Gates on zero transport/protocol errors, client/server counter
 # agreement, and a conservative throughput floor; bounded `overloaded`

@@ -36,7 +36,7 @@ pub mod oracle;
 pub mod partition;
 
 pub use atree::{ANode, ATree};
-pub use dag::{DagDelta, DagStats, ModelDag, ReviseOutcome};
+pub use dag::{DagDelta, ModelDag, ReviseOutcome};
 pub use extent::{seq_costs, subtree_costs, CostMap};
-pub use model::{ComponentPrediction, MissModel, ModelError};
+pub use model::{price, ComponentPrediction, ComponentValues, MissModel, ModelError};
 pub use partition::{all_components, components_for, Component, ComponentKind, StackDistance};

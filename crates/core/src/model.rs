@@ -4,6 +4,7 @@
 use crate::partition::{all_components, Component, ComponentKind, StackDistance};
 use sdlo_ir::{ArrayId, Bindings, Program};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Error from miss prediction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,6 +14,8 @@ pub enum ModelError {
     /// A component count evaluated negative (malformed bindings, e.g. a
     /// bound smaller than a tile size in a non-divisible configuration).
     NegativeCount(i64),
+    /// A miss or instance total does not fit in `u64`.
+    Overflow,
 }
 
 impl std::fmt::Display for ModelError {
@@ -20,6 +23,7 @@ impl std::fmt::Display for ModelError {
         match self {
             ModelError::Eval(e) => write!(f, "evaluation failed: {e}"),
             ModelError::NegativeCount(c) => write!(f, "component count {c} is negative"),
+            ModelError::Overflow => write!(f, "miss or instance total overflows u64"),
         }
     }
 }
@@ -54,10 +58,11 @@ pub enum DistanceValues {
     Varying { lo: i64, hi: i64 },
 }
 
-/// The §5 miss formula on already-evaluated inputs. [`MissModel::predict_component`]
-/// and the reactive DAG ([`crate::dag::ModelDag`]) both funnel through this
-/// one function, so the incremental path agrees with a cold rebuild
-/// bit-for-bit by construction.
+/// One component's evaluated §5 inputs: its instance count and its stack
+/// distance.
+pub type ComponentValues = (i64, DistanceValues);
+
+/// The §5 miss formula on already-evaluated inputs, for one component.
 pub fn predict_from_values(
     count_i: i64,
     distance: DistanceValues,
@@ -94,6 +99,18 @@ pub fn predict_from_values(
     Ok(ComponentPrediction { count, misses })
 }
 
+/// Total predicted misses of evaluated components (see
+/// [`MissModel::evaluate`]) for a fully associative LRU cache of
+/// `cache_size` blocks. Every prediction path — batch, grouped and the
+/// revise session ([`crate::dag::ModelDag`]) — sums through this one
+/// function, so they agree bit-for-bit by construction.
+pub fn price(values: &[ComponentValues], cache_size: u64) -> Result<u64, ModelError> {
+    values.iter().try_fold(0u64, |total, &(count, distance)| {
+        let misses = predict_from_values(count, distance, cache_size)?.misses;
+        total.checked_add(misses).ok_or(ModelError::Overflow)
+    })
+}
+
 /// Compile-time cache-miss model of a program: the full set of reuse
 /// components with symbolic counts and stack distances.
 ///
@@ -112,7 +129,8 @@ pub fn predict_from_values(
 /// ```
 #[derive(Debug, Clone)]
 pub struct MissModel {
-    components: Vec<Component>,
+    /// Shared, so a clone (e.g. a revise session's) costs a refcount.
+    components: Arc<[Component]>,
 }
 
 impl MissModel {
@@ -121,9 +139,7 @@ impl MissModel {
     pub fn build(program: &Program) -> Self {
         let span = sdlo_trace::span("model.build");
         span.attr("program", program.name.as_str());
-        let model = MissModel {
-            components: all_components(program),
-        };
+        let model = MissModel::from_components(all_components(program));
         span.add("components", model.components.len() as u64);
         model
     }
@@ -133,52 +149,69 @@ impl MissModel {
         &self.components
     }
 
-    /// Build a model from an explicit component list (used for filtered
-    /// models, e.g. the bounds-free tile search of §6).
+    /// Build a model from an explicit component list (a deserialized
+    /// model, or a filtered one such as the bounds-free tile search's, §6).
     pub fn from_components(components: Vec<Component>) -> Self {
-        MissModel { components }
-    }
-
-    /// Retain only components satisfying `keep` (e.g. those whose stack
-    /// distance does not mention any loop-bound symbol).
-    pub fn filtered(&self, keep: impl Fn(&Component) -> bool) -> Self {
         MissModel {
-            components: self
-                .components
-                .iter()
-                .filter(|c| keep(c))
-                .cloned()
-                .collect(),
+            components: components.into(),
         }
     }
 
-    /// Predict the misses of one component for a fully associative LRU cache
-    /// of `cache_size` blocks.
-    pub fn predict_component(
-        component: &Component,
-        bindings: &Bindings,
-        cache_size: u64,
-    ) -> Result<ComponentPrediction, ModelError> {
-        let count_i = component.count.eval(bindings)?;
-        let distance = match &component.distance {
-            StackDistance::Infinite => DistanceValues::Infinite,
-            StackDistance::Constant(e) => DistanceValues::Constant(e.eval(bindings)?),
-            StackDistance::Varying { lo, hi } => DistanceValues::Varying {
-                lo: lo.eval(bindings)?,
-                hi: hi.eval(bindings)?,
-            },
-        };
-        predict_from_values(count_i, distance, cache_size)
+    /// Evaluate every component's count and stack-distance expressions
+    /// once, in component order — the symbolic half of a prediction.
+    /// [`price`] turns the result into miss totals at any cache size.
+    pub fn evaluate(&self, bindings: &Bindings) -> Result<Vec<ComponentValues>, ModelError> {
+        self.components
+            .iter()
+            .map(|c| {
+                let count = c.count.eval(bindings)?;
+                let distance = match &c.distance {
+                    StackDistance::Infinite => DistanceValues::Infinite,
+                    StackDistance::Constant(e) => DistanceValues::Constant(e.eval(bindings)?),
+                    StackDistance::Varying { lo, hi } => DistanceValues::Varying {
+                        lo: lo.eval(bindings)?,
+                        hi: hi.eval(bindings)?,
+                    },
+                };
+                Ok((count, distance))
+            })
+            .collect()
+    }
+
+    /// Expressions one [`evaluate`](Self::evaluate) reads: each
+    /// component's count plus its distance endpoints.
+    pub fn expr_count(&self) -> usize {
+        self.components
+            .iter()
+            .map(|c| match c.distance {
+                StackDistance::Infinite => 1,
+                StackDistance::Constant(_) => 2,
+                StackDistance::Varying { .. } => 3,
+            })
+            .sum()
     }
 
     /// Total predicted misses for a fully associative LRU cache of
     /// `cache_size` blocks (elements).
     pub fn predict_misses(&self, bindings: &Bindings, cache_size: u64) -> Result<u64, ModelError> {
-        let mut total = 0u64;
-        for c in &self.components {
-            total += Self::predict_component(c, bindings, cache_size)?.misses;
+        price(&self.evaluate(bindings)?, cache_size)
+    }
+
+    /// Predicted misses summed per `key(component)`.
+    fn predict_by<K: Ord>(
+        &self,
+        bindings: &Bindings,
+        cache_size: u64,
+        key: impl Fn(&Component) -> K,
+    ) -> Result<BTreeMap<K, u64>, ModelError> {
+        let mut groups: BTreeMap<K, Vec<ComponentValues>> = BTreeMap::new();
+        for (c, v) in self.components.iter().zip(self.evaluate(bindings)?) {
+            groups.entry(key(c)).or_default().push(v);
         }
-        Ok(total)
+        groups
+            .into_iter()
+            .map(|(k, values)| Ok((k, price(&values, cache_size)?)))
+            .collect()
     }
 
     /// Predicted misses per `(statement, reference index)` — comparable to
@@ -188,12 +221,7 @@ impl MissModel {
         bindings: &Bindings,
         cache_size: u64,
     ) -> Result<BTreeMap<(sdlo_ir::StmtId, usize), u64>, ModelError> {
-        let mut out = BTreeMap::new();
-        for c in &self.components {
-            let p = Self::predict_component(c, bindings, cache_size)?;
-            *out.entry((c.stmt, c.ref_idx)).or_insert(0) += p.misses;
-        }
-        Ok(out)
+        self.predict_by(bindings, cache_size, |c| (c.stmt, c.ref_idx))
     }
 
     /// Predicted misses per array.
@@ -202,26 +230,18 @@ impl MissModel {
         bindings: &Bindings,
         cache_size: u64,
     ) -> Result<BTreeMap<ArrayId, u64>, ModelError> {
-        let mut out = BTreeMap::new();
-        for c in &self.components {
-            let p = Self::predict_component(c, bindings, cache_size)?;
-            *out.entry(c.array).or_insert(0) += p.misses;
-        }
-        Ok(out)
+        self.predict_by(bindings, cache_size, |c| c.array)
     }
 
     /// Total reference instances covered by the model (must equal the
     /// trace length — checked in tests).
     pub fn total_instances(&self, bindings: &Bindings) -> Result<u64, ModelError> {
-        let mut total = 0u64;
-        for c in &self.components {
-            let v = c.count.eval(bindings)?;
-            if v < 0 {
-                return Err(ModelError::NegativeCount(v));
-            }
-            total += v as u64;
-        }
-        Ok(total)
+        self.evaluate(bindings)?
+            .into_iter()
+            .try_fold(0u64, |total, (count, _)| {
+                let count = u64::try_from(count).map_err(|_| ModelError::NegativeCount(count))?;
+                total.checked_add(count).ok_or(ModelError::Overflow)
+            })
     }
 
     /// The distinct stack-distance expressions of the model, evaluated;
@@ -229,7 +249,7 @@ impl MissModel {
     /// jumps.
     pub fn distance_values(&self, bindings: &Bindings) -> Result<Vec<u64>, ModelError> {
         let mut out = Vec::new();
-        for c in &self.components {
+        for c in self.components.iter() {
             match &c.distance {
                 StackDistance::Infinite => {}
                 StackDistance::Constant(e) => out.push(e.eval(bindings)?.max(0) as u64),
@@ -253,7 +273,7 @@ impl MissModel {
             "{:<6} {:<5} {:<22} {:<34} stack distance",
             "array", "stmt", "kind", "#instances"
         );
-        for c in &self.components {
+        for c in self.components.iter() {
             let name = program.array(c.array).name.clone();
             let kind = match &c.kind {
                 ComponentKind::Compulsory => "compulsory".to_string(),
@@ -415,6 +435,22 @@ mod tests {
         for name in ["A", "B", "C1", "C2", "T"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn miss_total_overflow_is_a_typed_error() {
+        let huge = Component {
+            array: ArrayId(0),
+            stmt: sdlo_ir::StmtId(0),
+            ref_idx: 0,
+            kind: ComponentKind::Compulsory,
+            count: sdlo_symbolic::Expr::from(i64::MAX),
+            distance: StackDistance::Infinite,
+        };
+        let model = MissModel::from_components(vec![huge.clone(), huge.clone(), huge]);
+        let b = Bindings::new();
+        assert_eq!(model.predict_misses(&b, 1024), Err(ModelError::Overflow));
+        assert_eq!(model.total_instances(&b), Err(ModelError::Overflow));
     }
 
     #[test]

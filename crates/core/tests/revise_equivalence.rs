@@ -1,6 +1,6 @@
-//! Property test: the reactive DAG is *invisible*. After any sequence of
+//! Property test: a revise session is *invisible*. After any sequence of
 //! random deltas — sparse rebindings and cache-size set swaps — a revised
-//! [`ModelDag`] must answer byte-identically to (a) a DAG rebuilt from
+//! [`ModelDag`] must answer byte-identically to (a) a session started from
 //! scratch at the accumulated bindings and (b) the batch evaluator
 //! [`MissModel::predict_misses`] at every tracked size. The corpus mixes
 //! the paper's builtin kernels with programs synthesized by the mini

@@ -254,8 +254,7 @@ fn render_label(kind: StmtKind, refs: &[ArrayRef]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Streaming 64-bit FNV-1a, the one stable hash of the workspace: shape
-/// hashes, router ring placement, disk-cache checksums and model-DAG input
-/// fingerprints all use it. Explicit rather than `DefaultHasher` so the
+/// hashes, router ring placement and disk-cache checksums all use it. Explicit rather than `DefaultHasher` so the
 /// value is stable across Rust versions, platforms and processes.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);

@@ -142,18 +142,19 @@ pub struct Metrics {
     pub lint_diag_warnings: AtomicU64,
     /// `info`-severity diagnostics returned by `lint` requests.
     pub lint_diag_infos: AtomicU64,
-    /// `revise` requests whose base canon hash had no live DAG session
-    /// (answered by falling back toward a full build).
+    /// `revise` requests whose base canon hash had no session (answered
+    /// by falling back toward a full build).
     pub revise_base_misses: AtomicU64,
-    /// `revise` requests that built a model DAG from scratch (cold start
+    /// `revise` requests that started a session from scratch (cold start
     /// or evicted session).
     pub revise_full_builds: AtomicU64,
-    /// Dirty expression nodes re-evaluated across all `revise` deltas.
+    /// Expressions evaluated across all `revise` deltas (each delta that
+    /// changes a binding evaluates every expression of the model).
     pub revise_nodes_reevaluated: AtomicU64,
-    /// Expression nodes proven clean (fingerprint or dependency check) and
-    /// reused across all `revise` deltas.
+    /// Expressions whose stored values were reused across all `revise`
+    /// deltas.
     pub revise_nodes_reused: AtomicU64,
-    /// Resident model-store entries holding a live revise DAG (gauge,
+    /// Resident model-store entries holding a revise session (gauge,
     /// maintained by the model store, `crate::store`).
     pub revise_sessions: AtomicU64,
     /// Per-phase attribution, all ops pooled: microseconds a request spent

@@ -1,30 +1,33 @@
-//! `revise` — incremental re-evaluation of a live model DAG.
+//! `revise` — re-price one program shape at new bindings or cache sizes
+//! through a session kept in the shape's model-store entry.
 //!
 //! A client that sweeps tile sizes (or cache capacities) over one program
-//! shape should not pay a full model evaluation per point. `revise` keeps a
-//! live [`sdlo_core::ModelDag`] session in the shape's model-store entry
-//! (`crate::store`), named by the canonical shape hash (`base`), and
-//! applies a structured delta — new symbol bindings and/or a new tracked
-//! cache-size set — re-evaluating only the expression nodes whose input
-//! fingerprints actually moved.
+//! shape names the shape once, by its canonical hash (`base`), and then
+//! sends only what changes. The session (`sdlo_core::ModelDag`) holds the
+//! last bindings, every component's evaluated §5 inputs and the tracked
+//! cache sizes. A delta that rebinds a symbol re-evaluates the model's
+//! expressions; a delta that only replaces the cache-size set re-prices
+//! the stored values and evaluates nothing. The reply's `revise` object
+//! reports `exprs` (the expressions one evaluation reads),
+//! `nodes_reevaluated` (`exprs` when a binding changed, else 0) and
+//! `nodes_reused` (the remainder).
 //!
 //! ## Session lifecycle
 //!
-//! * **Warm** (`revised: true`): the base's resident entry holds a live
-//!   DAG; the delta is applied transactionally in place. An evaluation
+//! * **Warm** (`revised: true`): the base's resident entry holds a
+//!   session; the delta is applied transactionally in place. An evaluation
 //!   error (e.g. a binding driving a distance negative) leaves the session
 //!   untouched.
-//! * **Cold** (`revised: false`): no live DAG. The model is recovered from
+//! * **Cold** (`revised: false`): no session. The model is recovered from
 //!   the request's optional `program` (which must canonicalize to `base`)
 //!   or by hash from the store — memory, then the disk tier — and a fresh
-//!   DAG is built into the entry from the delta, which must then carry
+//!   session is started in the entry from the delta, which must then carry
 //!   `cache_sizes` and bindings for every free symbol. A session lives as
 //!   long as its shape stays in the store; eviction just means the next
 //!   revise against that base is cold again.
 //!
-//! The answers are byte-identical to `predict` over the same points — the
-//! DAG shares the §5 miss formula with the batch path — so `revise` is
-//! purely a latency/throughput optimization, never a different model.
+//! The answers are byte-identical to `predict` over the same points: both
+//! sum through the one §5 pricing function (`sdlo_core::price`).
 
 use crate::api::{self, schema, ApiError, ErrorKind, ProgramSpec};
 use crate::engine::{Engine, OpResult};
@@ -117,14 +120,11 @@ impl ServiceOp for ReviseOp {
         let request = parse(ctx.request)?;
         let (metrics, store) = (&engine.metrics, &engine.store);
 
-        // Warm path: the base's resident entry holds a live DAG. The delta
-        // applies in place under the entry's own lock — exactly the cheap
-        // operation the DAG exists for. Not a model-cache lookup.
+        // Warm path: the base's resident entry holds a session. The delta
+        // applies in place under the entry's own lock. Not a model-cache
+        // lookup.
         let warm = store.resident(request.base).and_then(|entry| {
-            entry.with_dag(|dag| {
-                let outcome = dag.revise(&request.delta);
-                (outcome, dag.expr_count())
-            })
+            entry.with_session(|session| (session.revise(&request.delta), entry.model.expr_count()))
         });
         if let Some((outcome, exprs)) = warm {
             let outcome = outcome.map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
@@ -145,7 +145,7 @@ impl ServiceOp for ReviseOp {
             ));
         }
 
-        // Cold path: recover the model, build a fresh DAG outside any lock,
+        // Cold path: recover the model, start a session outside any lock,
         // then install it into the shape's entry.
         metrics.revise_base_misses.fetch_add(1, Relaxed);
         let entry = if let Some(spec) = request.program {
@@ -171,15 +171,15 @@ impl ServiceOp for ReviseOp {
             ));
         };
         engine.require_bound(&entry.canonical.program, &request.delta.bindings, &[])?;
-        let dag = {
+        let session = {
             let _span = sdlo_trace::span(sdlo_trace::names::REVISE_FULL_BUILD);
             ModelDag::new(&entry.model, request.delta.bindings.clone(), &sizes)
                 .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?
         };
         metrics.revise_full_builds.fetch_add(1, Relaxed);
-        let misses = dag.misses();
-        let exprs = dag.expr_count();
-        let live = store.install(&entry, dag);
+        let misses = session.misses();
+        let exprs = entry.model.expr_count();
+        let live = store.install(&entry, session);
         Ok(body(request.base, false, &misses, live, 0, 0, exprs))
     }
 }

@@ -4,8 +4,8 @@
 //! sharded in-memory LRU keyed by the canonical structural hash, then the
 //! persistent [`DiskCache`] tier, then a full [`MissModel::build`] that is
 //! persisted for the next process. An [`Entry`] holds the canonical
-//! program, its model and — once a `revise` has touched the shape — the
-//! live [`ModelDag`] session behind the entry's own mutex. A revise session
+//! program, its model and — once a `revise` has touched the shape — its
+//! [`ModelDag`] revise session behind the entry's own mutex. A revise session
 //! is therefore part of a resident shape: it lives exactly as long as the
 //! shape stays in the store and is dropped when the shape is evicted.
 //!
@@ -44,7 +44,7 @@ pub struct Entry {
 
 #[derive(Default)]
 struct Session {
-    dag: Option<ModelDag>,
+    revise: Option<ModelDag>,
     /// Set when the shape leaves the store; a late install is not kept.
     evicted: bool,
 }
@@ -58,13 +58,13 @@ impl Entry {
         }
     }
 
-    /// Run `f` on the shape's live revise DAG under the entry's lock, if
-    /// the shape has one.
-    pub fn with_dag<R>(&self, f: impl FnOnce(&mut ModelDag) -> R) -> Option<R> {
+    /// Run `f` on the shape's revise session under the entry's lock, if the
+    /// shape has one.
+    pub fn with_session<R>(&self, f: impl FnOnce(&mut ModelDag) -> R) -> Option<R> {
         self.session
             .lock()
             .expect(SESSION_POISONED)
-            .dag
+            .revise
             .as_mut()
             .map(f)
     }
@@ -160,7 +160,7 @@ impl ModelStore {
     fn retire(&self, entry: &Entry) {
         let mut session = entry.session.lock().expect(SESSION_POISONED);
         session.evicted = true;
-        if session.dag.take().is_some() {
+        if session.revise.take().is_some() {
             self.metrics.revise_sessions.fetch_sub(1, Relaxed);
         }
     }
@@ -215,12 +215,12 @@ impl ModelStore {
         Some(self.insert(Entry::new(canonical, model)).0)
     }
 
-    /// Make `dag` the revise session of `entry`, replacing any previous
+    /// Make `revise` the revise session of `entry`, replacing any previous
     /// one, and return the number of live sessions. A shape evicted in the
     /// meantime keeps no session.
-    pub fn install(&self, entry: &Entry, dag: ModelDag) -> u64 {
+    pub fn install(&self, entry: &Entry, revise: ModelDag) -> u64 {
         let mut session = entry.session.lock().expect(SESSION_POISONED);
-        if !session.evicted && session.dag.replace(dag).is_none() {
+        if !session.evicted && session.revise.replace(revise).is_none() {
             self.metrics.revise_sessions.fetch_add(1, Relaxed);
         }
         self.metrics.revise_sessions.load(Relaxed)

@@ -690,3 +690,29 @@ fn concurrent_connections_share_the_model_cache() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn advise_overflow_is_an_eval_error_not_a_dead_worker() {
+    // Bounds near 2^62 overflow the model's i64 arithmetic during the tile
+    // search. With one worker, a panic there would leave nothing to answer
+    // this connection or the next request.
+    let handle = start(ServerConfig {
+        workers: 1,
+        ..small_server()
+    });
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let resp = req(
+        &mut c,
+        r#"{"op":"advise","program":"tiled_matmul","cache":4096,"bindings":{"Ni":4611686018427387904,"Nj":4611686018427387904,"Nk":4611686018427387904},"space":{"syms":["Ti","Tj","Tk"],"max":[64,64,64],"min":4}}"#,
+    );
+    assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{resp:?}");
+    assert_eq!(
+        resp.path(&["error", "kind"]).unwrap().as_str(),
+        Some("eval"),
+        "{resp:?}"
+    );
+    let stats = req(&mut c, r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true), "{stats:?}");
+}

@@ -22,8 +22,7 @@
 //! predicts tiles before the problem size is known.
 
 use rayon::prelude::*;
-use sdlo_core::dag::{DagDelta, ModelDag};
-use sdlo_core::{MissModel, StackDistance};
+use sdlo_core::{MissModel, ModelError, StackDistance};
 use sdlo_ir::Bindings;
 use sdlo_symbolic::Sym;
 use std::collections::BTreeSet;
@@ -240,21 +239,20 @@ impl<'a> TileSearcher<'a> {
     }
 
     /// Predicted misses for a tile tuple.
-    pub fn misses(&self, tiles: &[u64]) -> u64 {
+    pub fn misses(&self, tiles: &[u64]) -> Result<u64, ModelError> {
         self.model
             .predict_misses(&self.bindings_for(tiles), self.cache_size)
-            .expect("model evaluation")
     }
 
     /// Number of distinct stack-distance values at or above the cache size —
     /// the quantity whose *increase* marks a phase boundary (§6).
-    pub fn distances_above(&self, tiles: &[u64]) -> usize {
-        self.model
-            .distance_values(&self.bindings_for(tiles))
-            .expect("model evaluation")
+    pub fn distances_above(&self, tiles: &[u64]) -> Result<usize, ModelError> {
+        Ok(self
+            .model
+            .distance_values(&self.bindings_for(tiles))?
             .into_iter()
             .filter(|d| *d >= self.cache_size)
-            .count()
+            .count())
     }
 
     fn grid(&self) -> Vec<Vec<u64>> {
@@ -292,105 +290,64 @@ impl<'a> TileSearcher<'a> {
     /// Pre-pay one evaluation of the largest tuple so a fully exhausted
     /// budget still yields a well-formed best-so-far. Only limited budgets
     /// pay this; unlimited searches keep their historical evaluation counts.
-    fn seed_evaluation(&self, token: &CancelToken) -> Evaluation {
+    fn seed_evaluation(&self, token: &CancelToken) -> Result<Evaluation, ModelError> {
         token.charge();
         let tiles = self.max_tiles();
-        let misses = self.misses(&tiles);
-        Evaluation { tiles, misses }
+        let misses = self.misses(&tiles)?;
+        Ok(Evaluation { tiles, misses })
     }
 
-    /// Miss counts for `tuples`, in order, evaluated via per-worker
-    /// reactive DAG sweeps: the tuples are split into contiguous chunks,
-    /// each chunk lazily builds one [`ModelDag`] from its first admitted
-    /// tuple and *revises* it for every subsequent tuple, re-evaluating
-    /// only the tile-dependent expression nodes instead of the whole model.
-    ///
-    /// Semantics are unchanged from per-tuple [`misses`](Self::misses):
-    /// the DAG shares the §5 miss formula with the batch evaluator, so
-    /// counts are byte-identical; [`CancelToken::admit`] is still charged
-    /// once per tuple; and chunks flatten back in input order, so the
-    /// caller's grid-order reduction stays deterministic.
-    fn sweep_misses(&self, tuples: Vec<Vec<u64>>, token: &CancelToken) -> Vec<Option<Evaluation>> {
-        if tuples.is_empty() {
-            return Vec::new();
-        }
-        // ~4 chunks per worker balances stragglers against DAG-build
-        // amortization; tiny inputs stay sequential-ish with a floor of 8
-        // tuples per DAG.
-        let per_chunk = tuples
-            .len()
-            .div_ceil((rayon::current_num_threads() * 4).max(1))
-            .max(8);
-        let chunks: Vec<&[Vec<u64>]> = tuples.chunks(per_chunk).collect();
-        let swept: Vec<Vec<Option<Evaluation>>> = chunks
+    /// Miss counts for `tuples`, in parallel and in input order, so the
+    /// caller's grid-order reduction stays deterministic. Each tuple claims
+    /// one [`CancelToken::admit`]; a tuple the budget turned away yields
+    /// `None`.
+    fn sweep_misses(
+        &self,
+        tuples: Vec<Vec<u64>>,
+        token: &CancelToken,
+    ) -> Result<Vec<Option<Evaluation>>, ModelError> {
+        tuples
             .into_par_iter()
-            .map(|chunk| {
-                let mut dag: Option<ModelDag> = None;
-                chunk
-                    .iter()
-                    .map(|tiles| {
-                        if !token.admit() {
-                            return None;
-                        }
-                        let misses = match dag.as_mut() {
-                            None => {
-                                let built = ModelDag::new(
-                                    self.model,
-                                    self.bindings_for(tiles),
-                                    &[self.cache_size],
-                                )
-                                .expect("model evaluation");
-                                let m = built
-                                    .misses_for(self.cache_size)
-                                    .expect("cache size is tracked");
-                                dag = Some(built);
-                                m
-                            }
-                            Some(d) => {
-                                let mut bindings = Bindings::new();
-                                for (s, t) in self.space.tile_syms.iter().zip(tiles) {
-                                    bindings.set(s.as_str(), *t as i128);
-                                }
-                                d.revise(&DagDelta {
-                                    bindings,
-                                    cache_sizes: None,
-                                })
-                                .expect("model evaluation");
-                                d.misses_for(self.cache_size)
-                                    .expect("cache size is tracked")
-                            }
-                        };
-                        Some(Evaluation {
-                            tiles: tiles.clone(),
-                            misses,
-                        })
-                    })
-                    .collect()
+            .map(|tiles| {
+                if !token.admit() {
+                    return Ok(None);
+                }
+                let misses = self.misses(&tiles)?;
+                Ok(Some(Evaluation { tiles, misses }))
             })
-            .collect();
-        swept.into_iter().flatten().collect()
+            .collect()
     }
 
     /// Exhaustive baseline: a full miss-count evaluation at every grid
     /// point.
+    ///
+    /// # Panics
+    ///
+    /// If the model fails to evaluate at some grid point (an unbound
+    /// symbol, an overflow); [`exhaustive_with`](Self::exhaustive_with)
+    /// returns that as an error instead.
     pub fn exhaustive(&self) -> SearchOutcome {
         self.exhaustive_with(&SearchBudget::unlimited())
+            .expect("model evaluation")
     }
 
     /// [`exhaustive`](Self::exhaustive) under a [`SearchBudget`]. Grid
     /// points are evaluated in parallel; the reduction folds results in grid
     /// order with [`better`], so the outcome is independent of thread
     /// interleaving.
-    pub fn exhaustive_with(&self, budget: &SearchBudget) -> SearchOutcome {
+    pub fn exhaustive_with(&self, budget: &SearchBudget) -> Result<SearchOutcome, ModelError> {
         let started = Instant::now();
         let span = sdlo_trace::span("tilesearch.exhaustive");
         span.attr("cache_size", self.cache_size);
         span.attr("dims", self.space.tile_syms.len());
         span.attr("parallel.workers", rayon::current_num_threads() as u64);
         let token = CancelToken::new(budget);
-        let seed = budget.is_limited().then(|| self.seed_evaluation(&token));
+        let seed = budget
+            .is_limited()
+            .then(|| self.seed_evaluation(&token))
+            .transpose()?;
 
-        let results = self.sweep_misses(self.grid(), &token);
+        let results = self.sweep_misses(self.grid(), &token)?;
 
         let mut best = seed;
         let mut evaluated = 0u64;
@@ -405,28 +362,35 @@ impl<'a> TileSearcher<'a> {
         if token.is_cancelled() {
             span.add("search.cancelled", 1);
         }
-        SearchOutcome {
+        Ok(SearchOutcome {
             best: best.expect("non-empty space"),
             evaluations: token.evaluations(),
             frontier: Vec::new(),
             completed: !token.is_cancelled(),
             wall_micros: started.elapsed().as_micros() as u64,
-        }
+        })
     }
 
     /// The paper's pruned search: keep only *frontier* tuples — tuples
     /// where no dimension can grow one grid step without an additional
     /// stack distance crossing the cache size — and evaluate miss counts
     /// only for those.
+    ///
+    /// # Panics
+    ///
+    /// If the model fails to evaluate at some probed tuple (an unbound
+    /// symbol, an overflow); [`pruned_with`](Self::pruned_with) returns
+    /// that as an error instead.
     pub fn pruned(&self) -> SearchOutcome {
         self.pruned_with(&SearchBudget::unlimited())
+            .expect("model evaluation")
     }
 
     /// [`pruned`](Self::pruned) under a [`SearchBudget`]. Both phases run in
     /// parallel — the boundary-probe classification over the grid, then the
     /// miss-count evaluation over the surviving frontier — and both reduce
     /// in grid order, so the outcome is independent of thread interleaving.
-    pub fn pruned_with(&self, budget: &SearchBudget) -> SearchOutcome {
+    pub fn pruned_with(&self, budget: &SearchBudget) -> Result<SearchOutcome, ModelError> {
         let started = Instant::now();
         let span = sdlo_trace::span("tilesearch.pruned");
         span.attr("cache_size", self.cache_size);
@@ -434,7 +398,10 @@ impl<'a> TileSearcher<'a> {
         span.attr("parallel.workers", rayon::current_num_threads() as u64);
         let dims = self.space.tile_syms.len();
         let token = CancelToken::new(budget);
-        let seed = budget.is_limited().then(|| self.seed_evaluation(&token));
+        let seed = budget
+            .is_limited()
+            .then(|| self.seed_evaluation(&token))
+            .transpose()?;
 
         // Phase 1: classify each grid point as frontier or grown-past, in
         // parallel. Each distances_above call claims one evaluation; a point
@@ -444,9 +411,9 @@ impl<'a> TileSearcher<'a> {
             .into_par_iter()
             .map(|tiles| {
                 if !token.admit() {
-                    return None;
+                    return Ok(None);
                 }
-                let here = self.distances_above(&tiles);
+                let here = self.distances_above(&tiles)?;
                 let mut probes = 1u64;
                 let mut is_frontier = true;
                 for d in 0..dims {
@@ -457,10 +424,10 @@ impl<'a> TileSearcher<'a> {
                     let mut t2 = tiles.clone();
                     t2[d] = grown;
                     if !token.admit() {
-                        return None;
+                        return Ok(None);
                     }
                     probes += 1;
-                    if self.distances_above(&t2) <= here {
+                    if self.distances_above(&t2)? <= here {
                         // Can grow without crossing a phase boundary: the
                         // larger tile has no additional misses and strictly
                         // fewer inter-tile reuses.
@@ -468,9 +435,9 @@ impl<'a> TileSearcher<'a> {
                         break;
                     }
                 }
-                Some((tiles, is_frontier, probes))
+                Ok(Some((tiles, is_frontier, probes)))
             })
-            .collect();
+            .collect::<Result<_, ModelError>>()?;
 
         let mut grid_points = 0u64;
         let mut boundary_probes = 0u64;
@@ -484,9 +451,8 @@ impl<'a> TileSearcher<'a> {
         }
         let frontier_kept = frontier_tiles.len();
 
-        // Phase 2: miss counts for the frontier, via parallel reactive DAG
-        // sweeps.
-        let evaluated = self.sweep_misses(frontier_tiles, &token);
+        // Phase 2: miss counts for the frontier.
+        let evaluated = self.sweep_misses(frontier_tiles, &token)?;
 
         let mut best = seed;
         let mut frontier = Vec::new();
@@ -504,13 +470,13 @@ impl<'a> TileSearcher<'a> {
         if token.is_cancelled() {
             span.add("search.cancelled", 1);
         }
-        SearchOutcome {
+        Ok(SearchOutcome {
             best: best.expect("frontier non-empty: the max tile is always maximal"),
             evaluations: token.evaluations(),
             frontier,
             completed: !token.is_cancelled(),
             wall_micros: started.elapsed().as_micros() as u64,
-        }
+        })
     }
 
     /// §6 / Table 4: search **without knowing the loop bounds**, using only
@@ -520,6 +486,12 @@ impl<'a> TileSearcher<'a> {
     /// exceeds the cache — those components are treated as always missing.
     /// Loop bounds are set to `nominal` (a large representative size) only
     /// for instance counting.
+    ///
+    /// # Panics
+    ///
+    /// If the filtered model fails to evaluate at some probed tuple;
+    /// [`bounds_free_with`](Self::bounds_free_with) returns that as an
+    /// error instead.
     pub fn bounds_free(
         model: &MissModel,
         bound_syms: &[&str],
@@ -535,6 +507,7 @@ impl<'a> TileSearcher<'a> {
             space,
             &SearchBudget::unlimited(),
         )
+        .expect("model evaluation")
     }
 
     /// [`bounds_free`](Self::bounds_free) under a [`SearchBudget`]; the
@@ -546,7 +519,7 @@ impl<'a> TileSearcher<'a> {
         cache_size: u64,
         space: SearchSpace,
         budget: &SearchBudget,
-    ) -> SearchOutcome {
+    ) -> Result<SearchOutcome, ModelError> {
         let span = sdlo_trace::span("tilesearch.bounds_free");
         span.attr("nominal", nominal as i64);
         span.attr("cache_size", cache_size);
@@ -585,14 +558,14 @@ impl<'a> TileSearcher<'a> {
 
     /// Miss counts along one tile dimension with the others fixed — the §6
     /// four-phase curve.
-    pub fn miss_curve(&self, dim: usize, fixed: &[u64]) -> Vec<(u64, u64)> {
+    pub fn miss_curve(&self, dim: usize, fixed: &[u64]) -> Result<Vec<(u64, u64)>, ModelError> {
         self.space
             .candidates(dim)
             .into_iter()
             .map(|v| {
                 let mut tiles = fixed.to_vec();
                 tiles[dim] = v;
-                (v, self.misses(&tiles))
+                Ok((v, self.misses(&tiles)?))
             })
             .collect()
     }
@@ -640,6 +613,10 @@ fn permutations(syms: &[Sym]) -> Vec<Vec<Sym>> {
 /// `base` must bind every free symbol of the program except the tile
 /// symbols; an empty `space.tile_syms` degenerates to comparing the orders
 /// themselves (one miss evaluation each).
+///
+/// # Panics
+///
+/// If some order's model fails to evaluate at a probed tuple.
 pub fn search_orders(
     program: &sdlo_ir::Program,
     stmt: sdlo_ir::StmtId,
@@ -673,7 +650,7 @@ pub fn search_orders(
         let permuted = sdlo_ir::apply_permute(program, stmt, &order)?;
         let model = MissModel::build(&permuted);
         let searcher = TileSearcher::new(&model, base.clone(), cache_size, space.clone());
-        let outcome = searcher.pruned_with(budget);
+        let outcome = searcher.pruned_with(budget).expect("model evaluation");
         let wins = match &best {
             None => true,
             Some((_, incumbent)) => better(&outcome.best, &incumbent.best),
@@ -726,16 +703,23 @@ mod tests {
     }
 
     #[test]
-    fn dag_sweep_matches_per_point_evaluation() {
-        // The reactive sweep must be invisible: every grid point's count
-        // equals a fresh full evaluation of the same tuple.
+    fn evaluation_failure_is_an_error_not_a_panic() {
+        // Bounds near 2^62 overflow the model's i64 arithmetic.
         let model = MissModel::build(&programs::tiled_matmul());
-        let s = searcher_matmul(&model, 256, 2048);
-        let token = CancelToken::new(&SearchBudget::unlimited());
-        let swept = s.sweep_misses(s.grid(), &token);
-        assert_eq!(swept.len(), 7usize.pow(3)); // candidates 4..=256 per dim
-        for e in swept.into_iter().flatten() {
-            assert_eq!(e.misses, s.misses(&e.tiles), "tiles {:?}", e.tiles);
+        let n = 1i128 << 62;
+        let s = TileSearcher::new(
+            &model,
+            Bindings::new().with("Ni", n).with("Nj", n).with("Nk", n),
+            4096,
+            SearchSpace {
+                tile_syms: vec!["Ti".into(), "Tj".into(), "Tk".into()],
+                max: vec![64, 64, 64],
+                min: 4,
+            },
+        );
+        let budget = SearchBudget::unlimited();
+        for out in [s.pruned_with(&budget), s.exhaustive_with(&budget)] {
+            assert!(matches!(out, Err(ModelError::Eval(_))), "{out:?}");
         }
     }
 
@@ -757,7 +741,7 @@ mod tests {
         let model = MissModel::build(&programs::tiled_matmul());
         let s = searcher_matmul(&model, 256, 2048);
         let best = s.pruned().best;
-        let full = s.misses(&[256, 256, 256]);
+        let full = s.misses(&[256, 256, 256]).unwrap();
         assert!(best.misses < full, "best {best:?} vs untiled {full}");
     }
 
@@ -767,7 +751,7 @@ mod tests {
         let s = searcher_matmul(&model, 256, 2048);
         // With Tj = Tk = 8 the kT-carried stack distance of A crosses the
         // 2048-element cache between Ti = 64 and Ti = 128.
-        let curve = s.miss_curve(0, &[4, 8, 8]);
+        let curve = s.miss_curve(0, &[4, 8, 8]).unwrap();
         let ups = curve.windows(2).filter(|w| w[1].1 > w[0].1).count();
         let downs = curve.windows(2).filter(|w| w[1].1 < w[0].1).count();
         assert!(ups >= 1, "expected at least one jump: {curve:?}");
@@ -862,6 +846,7 @@ mod tests {
         let s = searcher_matmul(&model, 256, 8192);
         let budget = SearchBudget::deadline_in(Duration::ZERO);
         for out in [s.pruned_with(&budget), s.exhaustive_with(&budget)] {
+            let out = out.unwrap();
             assert!(!out.completed);
             // Only the pre-paid seed ran: best is the largest tuple.
             assert_eq!(out.best.tiles, vec![256, 256, 256]);
@@ -873,14 +858,14 @@ mod tests {
     fn evaluation_cap_bounds_the_search() {
         let model = MissModel::build(&programs::tiled_matmul());
         let s = searcher_matmul(&model, 512, 8192);
-        let capped = s.pruned_with(&SearchBudget::max_evals(5));
+        let capped = s.pruned_with(&SearchBudget::max_evals(5)).unwrap();
         assert!(!capped.completed);
         assert!(capped.evaluations <= 5, "{}", capped.evaluations);
         assert!(!capped.best.tiles.is_empty());
 
         // A generous cap changes nothing but the pre-paid seed evaluation.
         let full = s.pruned();
-        let roomy = s.pruned_with(&SearchBudget::max_evals(1_000_000));
+        let roomy = s.pruned_with(&SearchBudget::max_evals(1_000_000)).unwrap();
         assert!(roomy.completed);
         assert_eq!(roomy.best, full.best);
         assert_eq!(roomy.frontier, full.frontier);

@@ -45,16 +45,13 @@ pub mod log;
 /// names (`model.build`, `tilesearch.*`, `cachesim.replay`, …) stay string
 /// literals at their emission site.
 pub mod names {
-    /// Reactive-model family: building the dependency DAG from a built
-    /// model (`sdlo-core`).
-    pub const REVISE_DAG_BUILD: &str = "revise.dag_build";
-    /// Applying one structured delta to a live DAG (`sdlo-core`).
+    /// Revise family: starting a session from a built model (`sdlo-core`).
+    pub const REVISE_SESSION_BUILD: &str = "revise.session_build";
+    /// Applying one structured delta to a live session (`sdlo-core`).
     pub const REVISE_APPLY_DELTA: &str = "revise.apply_delta";
     /// Base-miss fallback: establishing a revise session from a cold or
     /// cached model (`sdlo-service`).
     pub const REVISE_FULL_BUILD: &str = "revise.full_build";
-    /// One chunk of a DAG-driven tile sweep (`sdlo-tilesearch`).
-    pub const REVISE_SWEEP: &str = "revise.sweep";
 }
 
 use std::borrow::Cow;

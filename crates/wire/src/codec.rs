@@ -105,7 +105,7 @@ pub fn bindings_from_value(v: &Value) -> Result<Bindings, WireError> {
 
 /// Decode a `revise` delta: `{"bindings":{…}?, "cache_sizes":[…]?}`. Both
 /// fields are optional — an empty delta is a legal no-op that re-reads the
-/// DAG's current answer.
+/// session's current answer.
 pub fn delta_from_value(v: &Value) -> Result<sdlo_core::dag::DagDelta, WireError> {
     v.as_object()
         .ok_or_else(|| schema("delta: expected an object"))?;
